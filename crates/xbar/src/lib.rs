@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod exact;
 mod obs;
 mod packed;
 

@@ -26,12 +26,17 @@ pub struct BatchScratch {
     pub(crate) packed: PackedInputs,
     /// Input-major partial outputs of the tile currently executing.
     pub(crate) tile_y: Vec<i64>,
+    /// The same in `i32`, for tiles the exact path accumulates narrowly
+    /// ([`crate::exact`]).
+    pub(crate) tile_y32: Vec<i32>,
 }
 
 impl BatchScratch {
     /// Bytes currently held across the scratch buffers.
     pub fn bytes(&self) -> usize {
-        self.packed.bytes() + self.tile_y.len() * std::mem::size_of::<i64>()
+        self.packed.bytes()
+            + self.tile_y.len() * std::mem::size_of::<i64>()
+            + self.tile_y32.len() * std::mem::size_of::<i32>()
     }
 }
 
@@ -312,18 +317,7 @@ impl MappedLayer {
             out.clear();
             return Ok(());
         }
-        if inputs.len() != self.matrix_rows * n_inputs {
-            return Err(XbarError::InputLengthMismatch {
-                expected: self.matrix_rows * n_inputs,
-                actual: inputs.len(),
-            });
-        }
-        let max = self.config.quant.input_max();
-        if inputs.iter().any(|&x| x > max) {
-            return Err(XbarError::InvalidConfig(format!(
-                "input code exceeds {max}"
-            )));
-        }
+        self.check_batch_inputs(inputs, n_inputs)?;
         let m = self.config.shape.rows();
         let n = self.config.shape.cols();
         let n_planes = self.config.cycles() * self.config.dac_bits;
@@ -388,18 +382,7 @@ impl MappedLayer {
             out.clear();
             return Ok(());
         }
-        if inputs.len() != self.matrix_rows * n_inputs {
-            return Err(XbarError::InputLengthMismatch {
-                expected: self.matrix_rows * n_inputs,
-                actual: inputs.len(),
-            });
-        }
-        let max = self.config.quant.input_max();
-        if inputs.iter().any(|&x| x > max) {
-            return Err(XbarError::InvalidConfig(format!(
-                "input code exceeds {max}"
-            )));
-        }
+        self.check_batch_inputs(inputs, n_inputs)?;
         let m = self.config.shape.rows();
         let n = self.config.shape.cols();
         let n_planes = self.config.cycles() * self.config.dac_bits;
@@ -432,6 +415,29 @@ impl MappedLayer {
                     }
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Validates a batched im2col input: `matrix_rows × n_inputs` codes,
+    /// each within the input range.
+    ///
+    /// # Errors
+    ///
+    /// [`XbarError::InputLengthMismatch`] for a wrong length,
+    /// [`XbarError::InvalidConfig`] for a code above the input range.
+    pub(crate) fn check_batch_inputs(&self, inputs: &[u64], n_inputs: usize) -> Result<()> {
+        if inputs.len() != self.matrix_rows * n_inputs {
+            return Err(XbarError::InputLengthMismatch {
+                expected: self.matrix_rows * n_inputs,
+                actual: inputs.len(),
+            });
+        }
+        let max = self.config.quant.input_max();
+        if inputs.iter().any(|&x| x > max) {
+            return Err(XbarError::InvalidConfig(format!(
+                "input code exceeds {max}"
+            )));
         }
         Ok(())
     }

@@ -41,6 +41,10 @@ pub(crate) static REPAIR_UNREPAIRED: LazyCounter =
 /// Tile MVMs executed through the non-ideal (IR-drop / read-noise) packed
 /// kernel — the subset of `xbar.matvecs` that ran degraded.
 pub(crate) static NOISE_MVMS: LazyCounter = LazyCounter::new("xbar.noise.mvms");
+/// Tile MVMs executed through the exact integer path that Eq. 1 licenses
+/// (no ADC read can clip, see `crate::exact`) — the subset of
+/// `xbar.matvecs` that skipped the bit-serial kernel.
+pub(crate) static EXACT_MVMS: LazyCounter = LazyCounter::new("xbar.exact.mvms");
 /// Gaussian read-noise samples drawn inside non-ideal MVMs (zero when the
 /// policy has no noise term). Data-derived, so thread-count-invariant.
 pub(crate) static NOISE_DRAWS: LazyCounter = LazyCounter::new("xbar.noise.draws");

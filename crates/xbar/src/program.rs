@@ -33,6 +33,7 @@
 //! invariant under the worker-thread count.
 
 use crate::adc::Adc;
+use crate::exact;
 use crate::fault::{FaultModel, FaultReport, LayerFaultMap};
 use crate::mapping::{BatchScratch, MappedLayer};
 use crate::noise::{NoiseCtx, NonIdealPolicy};
@@ -596,9 +597,13 @@ const NEG_HALF_SALT: u64 = 0x4E4547;
 /// inputs take the single-pass path (bitwise identical to the per-call
 /// [`crate::infer`] entry points); signed inputs run differentially.
 ///
-/// With a noise context the tiles run the non-ideal kernel; the signed
-/// path splits the context so the two differential halves draw from
-/// distinct streams.
+/// Without a noise context, a layer whose ADC Eq. 1 proves non-clipping
+/// on every tile ([`exact::licensed`], checked per call) runs the exact
+/// integer GEMM; otherwise the packed bit-serial kernel runs. The two are
+/// bitwise equal and charge the same modelled hardware counters. With a
+/// noise context the tiles run the non-ideal kernel; the signed path
+/// splits the context so the two differential halves draw from distinct
+/// streams.
 pub(crate) fn mvm_into(
     mapped: &MappedLayer,
     adc: &Adc,
@@ -608,59 +613,34 @@ pub(crate) fn mvm_into(
     ctx: Option<NoiseCtx>,
 ) -> Result<f32> {
     let quant = mapped.config().quant;
-    if real.iter().all(|&x| x >= 0.0) {
-        let in_scale = quantize_input_codes_into(real, &quant, &mut s.codes)?;
-        match ctx {
-            None => {
-                mapped.matvec_codes_batch_into(&s.codes, n_inputs, adc, &mut s.batch, &mut s.y)?;
-            }
-            Some(c) => mapped.matvec_codes_batch_nonideal_into(
-                &s.codes,
-                n_inputs,
-                adc,
-                &c,
-                &mut s.batch,
-                &mut s.y,
-            )?,
-        }
-        Ok(mapped.weight_scale() * in_scale)
+    let signed = !real.iter().all(|&x| x >= 0.0);
+    let in_scale = if signed {
+        quantize_input_signed_into(real, &quant, &mut s.codes, &mut s.neg_codes)?
     } else {
-        let in_scale = quantize_input_signed_into(real, &quant, &mut s.codes, &mut s.neg_codes)?;
-        match ctx {
-            None => {
-                mapped.matvec_codes_batch_into(&s.codes, n_inputs, adc, &mut s.batch, &mut s.y)?;
-                mapped.matvec_codes_batch_into(
-                    &s.neg_codes,
-                    n_inputs,
-                    adc,
-                    &mut s.batch,
-                    &mut s.y_neg,
-                )?;
-            }
-            Some(c) => {
-                mapped.matvec_codes_batch_nonideal_into(
-                    &s.codes,
-                    n_inputs,
-                    adc,
-                    &c,
-                    &mut s.batch,
-                    &mut s.y,
-                )?;
-                mapped.matvec_codes_batch_nonideal_into(
-                    &s.neg_codes,
-                    n_inputs,
-                    adc,
-                    &c.with_salt(NEG_HALF_SALT),
-                    &mut s.batch,
-                    &mut s.y_neg,
-                )?;
-            }
-        }
-        for (p, n) in s.y.iter_mut().zip(&s.y_neg) {
+        quantize_input_codes_into(real, &quant, &mut s.codes)?
+    };
+    let exact = ctx.is_none() && exact::licensed(mapped, adc);
+    let StepScratch {
+        codes,
+        neg_codes,
+        batch,
+        y,
+        y_neg,
+        ..
+    } = s;
+    let mut half = |codes: &[u64], ctx: Option<NoiseCtx>, y: &mut Vec<i64>| match ctx {
+        None if exact => exact::matvec_codes_batch_into(mapped, codes, n_inputs, batch, y),
+        None => mapped.matvec_codes_batch_into(codes, n_inputs, adc, batch, y),
+        Some(c) => mapped.matvec_codes_batch_nonideal_into(codes, n_inputs, adc, &c, batch, y),
+    };
+    half(codes, ctx, y)?;
+    if signed {
+        half(neg_codes, ctx.map(|c| c.with_salt(NEG_HALF_SALT)), y_neg)?;
+        for (p, n) in y.iter_mut().zip(y_neg.iter()) {
             *p -= n;
         }
-        Ok(mapped.weight_scale() * in_scale)
     }
+    Ok(mapped.weight_scale() * in_scale)
 }
 
 /// Datapath convolution into `out` (`[f, oh*ow]` channel-major), reusing

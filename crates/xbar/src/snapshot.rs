@@ -685,6 +685,37 @@ mod tests {
     }
 
     #[test]
+    fn most_negative_tile_code_is_a_typed_error() {
+        // Two images that differ in exactly one tile code (0 vs 1) locate
+        // that code's eight little-endian bytes; XOR-ing 0x80 into the
+        // zero code's top byte makes it `i64::MIN`, whose `abs()` wraps
+        // in release builds. Decoding must reject it with a typed error,
+        // not panic while slicing it into cells.
+        let image = |second: f32| {
+            // Dense weights, so one code cannot move the ADC programme.
+            let mut w = vec![1.0f32; 8 * 4 * 3 * 3];
+            w[1] = second;
+            let w = Tensor::from_vec(w, &[8, 4, 3, 3]).unwrap();
+            let mapped =
+                MappedLayer::from_param(&w, ParamKind::ConvWeight, XbarConfig::paper_default())
+                    .unwrap();
+            let model = CompiledModel::from_conv(mapped, [4, 6, 6], 1, 1, None).unwrap();
+            let mut buf = Vec::new();
+            write_model(&mut buf, &model).unwrap();
+            buf
+        };
+        let (zero, one) = (image(0.0), image(1.0 / 127.0));
+        assert_eq!(zero.len(), one.len());
+        let diff: Vec<usize> = (0..zero.len()).filter(|&i| zero[i] != one[i]).collect();
+        assert_eq!(diff.len(), 1, "images differ in more than one code byte");
+        let mut bad = zero.clone();
+        bad[diff[0] + 7] ^= 0x80;
+        let err = read_model(bad.as_slice()).unwrap_err();
+        assert!(matches!(err, XbarError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("exceeds magnitude limit"), "{err}");
+    }
+
+    #[test]
     fn corrupt_streams_are_typed_errors() {
         let model = conv_model(None);
         let mut buf = Vec::new();

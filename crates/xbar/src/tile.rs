@@ -3,6 +3,7 @@
 
 use crate::adc::Adc;
 use crate::cell::{CellConfig, DeviceModel};
+use crate::exact::ExactCodes;
 use crate::packed::{self, KernelPath, PackedInputs, PackedTile};
 use crate::quant::QuantConfig;
 use crate::{Result, XbarError};
@@ -97,6 +98,9 @@ pub struct Tile {
     /// Cached worst-case activated rows, recomputed on cell mutation, so
     /// the per-MVM histogram observation is O(1).
     activated_rows: usize,
+    /// Signed codes for the exact integer path, rebuilt with the packed
+    /// planes; `None` when a code does not fit `i16`.
+    exact: Option<ExactCodes>,
     config: XbarConfig,
 }
 
@@ -129,7 +133,9 @@ impl Tile {
         let mut pos = vec![vec![0u64; rows * cols]; n_slices];
         let mut neg = vec![vec![0u64; rows * cols]; n_slices];
         for (i, &code) in codes.iter().enumerate() {
-            if code.abs() > qmax {
+            // `unsigned_abs`: `i64::MIN.abs()` wraps to itself in release
+            // builds and would slip past the range check.
+            if code.unsigned_abs() > qmax.unsigned_abs() {
                 return Err(XbarError::InvalidConfig(format!(
                     "weight code {code} exceeds magnitude limit {qmax}"
                 )));
@@ -145,6 +151,7 @@ impl Tile {
         crate::obs::TILE_PACKS.inc();
         crate::obs::PACKED_PLANES.observe(packed.stored_planes() as u64);
         let activated_rows = compute_activated_rows(&packed, cols);
+        let exact = ExactCodes::new(codes, rows, config.quant.input_max());
         Ok(Self {
             rows,
             cols,
@@ -152,6 +159,7 @@ impl Tile {
             neg,
             packed,
             activated_rows,
+            exact,
             config,
         })
     }
@@ -736,6 +744,13 @@ impl Tile {
         crate::obs::TILE_PACKS.inc();
         crate::obs::PACKED_PLANES.observe(self.packed.stored_planes() as u64);
         self.activated_rows = compute_activated_rows(&self.packed, self.cols);
+        self.exact = ExactCodes::new(&self.codes(), self.rows, self.config.quant.input_max());
+    }
+
+    /// The signed codes the exact integer path multiplies, if they fit
+    /// `i16`.
+    pub(crate) fn exact_codes(&self) -> Option<&ExactCodes> {
+        self.exact.as_ref()
     }
 
     /// Records the modeled hardware events of `n_mvms` executed MVMs plus
@@ -744,7 +759,7 @@ impl Tile {
     /// the silicon datapath performs, including the zero-sum samples the
     /// packed kernel software-skips — so the hw roll-up built from these
     /// counters matches the analytic activity model exactly.
-    fn record_mvm_events(&self, n_mvms: u64, saturations: u64) {
+    pub(crate) fn record_mvm_events(&self, n_mvms: u64, saturations: u64) {
         let a = crate::activity::tile_activity(self);
         crate::obs::MATVECS.add(n_mvms);
         crate::obs::ADC_CONVERSIONS.add(a.adc_conversions * n_mvms);
@@ -979,7 +994,20 @@ mod tests {
         assert!(Tile::new(&[0; 72], 9, 8, cfg).is_err()); // too many rows
         assert!(Tile::new(&[0; 8], 4, 3, cfg).is_err()); // wrong length
         assert!(Tile::new(&[99], 1, 1, cfg).is_err()); // code out of range
+        assert!(Tile::new(&[-99], 1, 1, cfg).is_err());
         assert!(Tile::new(&[], 0, 1, cfg).is_err());
+    }
+
+    #[test]
+    fn most_negative_code_is_a_typed_error_not_a_panic() {
+        // `i64::MIN.abs()` wraps to `i64::MIN` in release builds; the
+        // range check must still reject it before `CellConfig::slice`
+        // asserts on the magnitude.
+        for cfg in [small_config(), XbarConfig::paper_default()] {
+            let err = Tile::new(&[i64::MIN], 1, 1, cfg).unwrap_err();
+            assert!(matches!(err, XbarError::InvalidConfig(_)), "{err}");
+            assert!(Tile::new(&[i64::MIN + 1], 1, 1, cfg).is_err());
+        }
     }
 
     #[test]

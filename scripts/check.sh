@@ -29,6 +29,12 @@ cargo test --offline -q
 echo "==> packed-kernel equivalence suite"
 cargo test --offline -q --test packed_equivalence
 
+# The exact integer path Eq. 1 licenses: bitwise equal to the reference
+# loop and the packed kernel with identical hardware counters, and the
+# packed fallback whenever the proof fails.
+echo "==> exact-path equivalence suite"
+cargo test --offline -q --test exact_path
+
 echo "==> parallel determinism suite"
 cargo test --offline -q --test parallel_determinism
 
@@ -152,6 +158,10 @@ echo "    run_batch speedup_4t $speedup_4t >= floor $floor (host cores: $host_co
 # by >= 1.5x on the ~70%-zero post-ReLU conv microbench and > 1.3x on
 # the sparse run_batch, while costing <= 5% on the fully dense control
 # (the dispatch itself must be ~free when there is nothing to skip).
+# The perf bin compiles the run_batch_relu70 program one ADC bit below
+# the Eq. 1 proof so it keeps running the packed kernels (at or above
+# the proof a clean program runs the exact integer GEMM), and reads the
+# dense control as the median of many interleaved pairs.
 echo "==> sparsity kernel-dispatch gates"
 datapath_speedup() {
     sed -n 's/.*"name": "'"$1"'".*"speedup": \([0-9.]*\).*/\1/p' \
@@ -171,6 +181,9 @@ for gate in "datapath_conv2d_relu70 1.5" "datapath_conv2d_dense 0.95" \
     fi
     echo "    $name speedup $s >= floor $floor"
 done
+# Informational, no floor: the packed kernel against the exact integer
+# GEMM on the same compiled layer.
+echo "    run_batch_exact exact-vs-packed speedup $(datapath_speedup run_batch_exact)"
 
 # Pool-shutdown leak check: after set_threads(0) no pool worker may
 # linger. The par unit test asserts pool_workers() == 0 post-quiesce;
